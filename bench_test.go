@@ -122,9 +122,12 @@ func BenchmarkSimFig6Cell(b *testing.B) {
 
 // BenchmarkFig6aTraced is the fig6a cell with the decision-trace layer
 // attached and streaming JSONL to a discarded writer — the full cost of
-// observing every decision point (candidate-view capture + JSON encode).
-// Compare against BenchmarkSimFig6Cell to price the tracing overhead;
-// the disabled-path cost is zero by construction (every capture is
+// observing every decision point (candidate-view capture + the
+// reflection-free dectrace.AppendRecord encode). It runs at about 5.5×
+// the untraced cell (356 vs 65 µs, 612 vs 51 allocs on a 2-vCPU Xeon;
+// the encode itself allocates nothing, the extra allocs are one Record
+// plus its Apps and Grants slices per decision point). The
+// disabled-path cost is zero by construction (every capture is
 // nil-gated) and pinned by the daemon's allocation-free round test.
 func BenchmarkFig6aTraced(b *testing.B) {
 	wcfg := iosched.Fig6Workload(iosched.Fig6A, 7)

@@ -20,7 +20,11 @@
 // must not block — the daemon calls them under its state lock.
 package dectrace
 
-import "repro/internal/core"
+import (
+	"slices"
+
+	"repro/internal/core"
+)
 
 // Record is one decision point. Seq is the decision point's ordinal in
 // the run (decisions + skips seen so far, i.e. the round index); it
@@ -89,25 +93,52 @@ type Sink interface {
 
 // CaptureApps converts candidate views into AppRecords, appending to
 // dst. Engines call it only when a sink is attached.
+//
+// The capture functions size dst once and are kept out of line: the
+// escape-analysis gate (ioschedvet -allocfree) attributes an inlined
+// callee's allocation to the caller, and the daemon calls these from its
+// allocation-free decision round, under the sink-attached branch.
+//
+//go:noinline
 func CaptureApps(dst []AppRecord, views []*core.AppView) []AppRecord {
-	for _, v := range views {
-		dst = append(dst, AppRecord{
+	n := len(dst)
+	dst = slices.Grow(dst, len(views))[:n+len(views)]
+	for i, v := range views {
+		dst[n+i] = AppRecord{
 			ID:           v.ID,
 			Nodes:        v.Nodes,
 			Phase:        v.Phase.String(),
 			RemV:         v.RemVolume,
 			Started:      v.Started,
 			PendingSince: v.PendingSince,
-		})
+		}
 	}
 	return dst
 }
 
 // CaptureGrants converts a grant vector into GrantRecords, appending to
 // dst.
+//
+//go:noinline
 func CaptureGrants(dst []GrantRecord, grants []core.Grant) []GrantRecord {
-	for _, g := range grants {
-		dst = append(dst, GrantRecord{ID: g.AppID, BW: g.BW})
+	n := len(dst)
+	dst = slices.Grow(dst, len(grants))[:n+len(grants)]
+	for i, g := range grants {
+		dst[n+i] = GrantRecord{ID: g.AppID, BW: g.BW}
+	}
+	return dst
+}
+
+// CaptureFullGrants records the verdict of a saturating skip — every
+// view granted its full β·b, float64(Nodes)*nodeBW — appending to dst in
+// view order.
+//
+//go:noinline
+func CaptureFullGrants(dst []GrantRecord, views []*core.AppView, nodeBW float64) []GrantRecord {
+	n := len(dst)
+	dst = slices.Grow(dst, len(views))[:n+len(views)]
+	for i, v := range views {
+		dst[n+i] = GrantRecord{ID: v.ID, BW: float64(v.Nodes) * nodeBW}
 	}
 	return dst
 }

@@ -9,28 +9,32 @@ import (
 )
 
 // Writer streams records as JSON Lines: one Record object per line, in
-// observation order. Writes are buffered; call Flush (or Close the
-// underlying file after Flush) when done. Safe for concurrent use. Write
-// errors are sticky and reported by Err/Flush — Observe itself cannot
-// fail, so an engine never stalls on a broken trace file.
+// observation order, in AppendRecord's encoding. Writes are buffered;
+// call Flush (or Close the underlying file after Flush) when done. Safe
+// for concurrent use. Write and encode errors are sticky and reported by
+// Err/Flush — Observe itself cannot fail, so an engine never stalls on a
+// broken trace file.
 type Writer struct {
 	mu  sync.Mutex
 	bw  *bufio.Writer
-	enc *json.Encoder
+	enc encoder // scratch buffer and float memo, reused under mu
 	err error
 }
 
 // NewWriter builds a JSONL writer over w.
 func NewWriter(w io.Writer) *Writer {
-	bw := bufio.NewWriter(w)
-	return &Writer{bw: bw, enc: json.NewEncoder(bw)}
+	return &Writer{bw: bufio.NewWriter(w), enc: encoder{memo: new(floatMemo)}}
 }
 
 // Observe implements Sink.
 func (w *Writer) Observe(r *Record) {
 	w.mu.Lock()
 	if w.err == nil {
-		w.err = w.enc.Encode(r) // Encode appends the newline
+		w.enc.b = w.enc.b[:0]
+		var line []byte
+		if line, w.err = w.enc.appendRecord(r); w.err == nil {
+			_, w.err = w.bw.Write(line)
+		}
 	}
 	w.mu.Unlock()
 }
@@ -52,34 +56,35 @@ func (w *Writer) Flush() error {
 	return w.err
 }
 
-// maxLine bounds one record line; candidate sets are compact, so a line
-// beyond this is corruption, not data.
-const maxLine = 1 << 22
-
 // ReadAll parses a JSONL decision trace, tolerating blank lines. It
 // returns the records read so far alongside the first error, so a
-// truncated trace (a crashed daemon) still yields its prefix.
+// truncated trace (a crashed daemon) still yields its prefix. Lines have
+// no length cap: a saturating record over a 100k-application population
+// lists every candidate and runs to megabytes, and whatever Writer
+// writes ReadAll must read back.
 func ReadAll(r io.Reader) ([]*Record, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
+	br := bufio.NewReaderSize(r, 64*1024)
 	var out []*Record
 	line := 0
-	for sc.Scan() {
-		line++
-		b := sc.Bytes()
-		if len(trimSpace(b)) == 0 {
-			continue
+	for {
+		b, err := br.ReadBytes('\n')
+		if len(b) > 0 {
+			line++
+			if len(trimSpace(b)) > 0 {
+				rec := new(Record)
+				if err := json.Unmarshal(b, rec); err != nil {
+					return out, fmt.Errorf("dectrace: line %d: %w", line, err)
+				}
+				out = append(out, rec)
+			}
 		}
-		rec := new(Record)
-		if err := json.Unmarshal(b, rec); err != nil {
-			return out, fmt.Errorf("dectrace: line %d: %w", line, err)
+		if err == io.EOF {
+			return out, nil
 		}
-		out = append(out, rec)
+		if err != nil {
+			return out, fmt.Errorf("dectrace: line %d: %w", line+1, err)
+		}
 	}
-	if err := sc.Err(); err != nil {
-		return out, fmt.Errorf("dectrace: line %d: %w", line+1, err)
-	}
-	return out, nil
 }
 
 // trimSpace strips ASCII whitespace without allocating.

@@ -915,12 +915,9 @@ func (s *Server) decideLocked(now float64, kind string) {
 			var apps []dectrace.AppRecord
 			var grants []dectrace.GrantRecord
 			if s.cfg.DecisionTrace != nil {
-				apps = dectrace.CaptureApps(nil, s.wantViewsLocked())
-				for _, sess := range s.candidates {
-					grants = append(grants, dectrace.GrantRecord{
-						ID: sess.view.ID, BW: float64(sess.view.Nodes) * cap.NodeBW,
-					})
-				}
+				want := s.wantViewsLocked() // candidate order
+				apps = dectrace.CaptureApps(nil, want)
+				grants = dectrace.CaptureFullGrants(nil, want, cap.NodeBW)
 			}
 			for _, sess := range s.candidates {
 				s.applyGrantLocked(sess, float64(sess.view.Nodes)*cap.NodeBW, now)

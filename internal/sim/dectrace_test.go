@@ -1,10 +1,14 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dectrace"
+	"repro/internal/workload"
 )
 
 // runTraced executes cfg with a Slice sink attached and returns the
@@ -110,5 +114,53 @@ func TestSkipBreakdown(t *testing.T) {
 					snap.SkippedMemo, snap.SkippedSaturating, snap.SkippedSingleFullGrant, snap.Skipped)
 			}
 		})
+	}
+}
+
+// TestTraceBytesMatchEncodingJSON pins the JSONL trace format on real
+// traces: on the fig6a/fig6b cells under MaxSysEff and
+// Priority-MinDilation, with and without the burst buffer, the Writer's
+// bytes equal what encoding/json writes for the same records.
+func TestTraceBytesMatchEncodingJSON(t *testing.T) {
+	for _, kind := range []workload.Fig6Kind{workload.Fig6A, workload.Fig6B} {
+		for _, seed := range []int64{3, 11} {
+			wcfg := workload.Fig6Config(kind, seed)
+			apps, err := workload.Generate(wcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range []string{"MaxSysEff", "Priority-MinDilation"} {
+				for _, bb := range []bool{false, true} {
+					sched, err := core.ByName(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg := Config{Platform: wcfg.Platform, Scheduler: sched, Apps: apps, UseBB: bb}
+					if !bb {
+						cfg.Platform = wcfg.Platform.WithoutBB()
+					}
+					var got, want bytes.Buffer
+					slice := &dectrace.Slice{}
+					w := dectrace.NewWriter(&got)
+					cfg.DecisionTrace = dectrace.Tee{slice, w}
+					if _, err := Run(cfg); err != nil {
+						t.Fatal(err)
+					}
+					if err := w.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					enc := json.NewEncoder(&want)
+					for _, r := range slice.Records {
+						if err := enc.Encode(r); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if len(slice.Records) == 0 || !bytes.Equal(got.Bytes(), want.Bytes()) {
+						t.Fatalf("fig6 kind %v seed %d %s bb=%v: %d records, Writer wrote %d bytes, encoding/json %d",
+							kind, seed, name, bb, len(slice.Records), got.Len(), want.Len())
+					}
+				}
+			}
+		}
 	}
 }

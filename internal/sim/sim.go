@@ -903,12 +903,9 @@ func (s *simulation) decide() {
 			if s.cfg.DecisionTrace != nil {
 				// Trace records are order-sensitive artifacts: capture
 				// apps and grants from the sorted view.
-				apps = dectrace.CaptureApps(nil, s.wantViews())
-				for _, v := range s.want {
-					grants = append(grants, dectrace.GrantRecord{
-						ID: v.ID, BW: float64(v.Nodes) * cap.NodeBW,
-					})
-				}
+				want := s.wantViews()
+				apps = dectrace.CaptureApps(nil, want)
+				grants = dectrace.CaptureFullGrants(nil, want, cap.NodeBW)
 			}
 			for _, i := range s.candidates {
 				st := &s.apps[i]
