@@ -72,6 +72,14 @@ func (s *schedServer) transferDone() {
 // decide runs the scheduling policy over the current application states
 // and sends (possibly zero) bandwidth grants to every application that
 // wants I/O.
+//
+// Unlike the simulator and the daemon, the emulator does not run on the
+// decision kernel (internal/decide) and invokes the policy at every
+// decision point. A grant reaches its application only after ReqLatency
+// of message delay, so the views are not mutated at decision time: the
+// memo rule has no apply point to key the memo on, and skipping would
+// also remove exactly the per-request scheduler overhead Figures 14–16
+// measure.
 func (s *schedServer) decide() {
 	r := s.r
 	r.pfs.advance()

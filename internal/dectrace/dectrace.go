@@ -96,8 +96,8 @@ type Sink interface {
 //
 // The capture functions size dst once and are kept out of line: the
 // escape-analysis gate (ioschedvet -allocfree) attributes an inlined
-// callee's allocation to the caller, and the daemon calls these from its
-// allocation-free decision round, under the sink-attached branch.
+// callee's allocation to the caller, and the decision kernel calls these
+// from its allocation-free decision path, under the sink-attached branch.
 //
 //go:noinline
 func CaptureApps(dst []AppRecord, views []*core.AppView) []AppRecord {
@@ -125,20 +125,6 @@ func CaptureGrants(dst []GrantRecord, grants []core.Grant) []GrantRecord {
 	dst = slices.Grow(dst, len(grants))[:n+len(grants)]
 	for i, g := range grants {
 		dst[n+i] = GrantRecord{ID: g.AppID, BW: g.BW}
-	}
-	return dst
-}
-
-// CaptureFullGrants records the verdict of a saturating skip — every
-// view granted its full β·b, float64(Nodes)*nodeBW — appending to dst in
-// view order.
-//
-//go:noinline
-func CaptureFullGrants(dst []GrantRecord, views []*core.AppView, nodeBW float64) []GrantRecord {
-	n := len(dst)
-	dst = slices.Grow(dst, len(views))[:n+len(views)]
-	for i, v := range views {
-		dst[n+i] = GrantRecord{ID: v.ID, BW: float64(v.Nodes) * nodeBW}
 	}
 	return dst
 }

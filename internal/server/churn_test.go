@@ -166,7 +166,7 @@ func TestWakeTimerDisarmedOnEmptyCandidates(t *testing.T) {
 	waitFor(t, func() bool {
 		srv.mu.Lock()
 		defer srv.mu.Unlock()
-		return len(srv.candidates) == 0 && !srv.wakeArmed
+		return srv.k.Len() == 0 && !srv.wakeArmed
 	}, "wake timer disarmed after the candidate set emptied")
 
 	// No spurious rounds fire afterwards.
@@ -252,7 +252,7 @@ func TestProgressToZeroCompletes(t *testing.T) {
 		sess := srv.reg.get(1)
 		return sess != nil && sess.view.Phase == core.Computing &&
 			sess.view.RemVolume == 0 && !sess.view.Started &&
-			sess.view.LastIOEnd > 0 && !sess.cand && sess.bw == 0
+			sess.view.LastIOEnd > 0 && srv.k.Len() == 0 && sess.bw == 0
 	}, "view completed after progress reached zero")
 	if got := srv.Metrics().Candidates; got != 0 {
 		t.Errorf("candidates = %d after progress-to-zero, want 0", got)

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dectrace"
 	"repro/internal/health"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -87,13 +88,17 @@ func healthEquivalenceConfig() health.Config {
 }
 
 // replayScriptHealth replays the scripted scenario with a health
-// monitor (and probe) attached, mirroring replayScriptProbe: the
-// monitor state is snapshotted before the sessions drain, because
-// finish triggers "leave" rounds the simulator run has no counterpart
-// for.
-func replayScriptHealth(t *testing.T, pol core.Scheduler, B, b float64, script []scriptEvent, mon *health.Monitor, pr *telemetry.Probe) *telemetry.Telemetry {
+// monitor (and probe, and optionally a decision-trace ring) attached,
+// mirroring replayScriptProbe: the probe and the ring are snapshotted
+// before the sessions drain, because finish triggers "leave" rounds the
+// simulator run has no counterpart for.
+func replayScriptHealth(t *testing.T, pol core.Scheduler, B, b float64, script []scriptEvent, mon *health.Monitor, pr *telemetry.Probe, ring *dectrace.Ring) (*telemetry.Telemetry, []*dectrace.Record) {
 	t.Helper()
-	srv, err := New(Config{Policy: pol, TotalBW: B, NodeBW: b, Telemetry: pr, Health: mon})
+	cfg := Config{Policy: pol, TotalBW: B, NodeBW: b, Telemetry: pr, Health: mon}
+	if ring != nil {
+		cfg.DecisionTrace = ring
+	}
+	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,13 +129,17 @@ func replayScriptHealth(t *testing.T, pol core.Scheduler, B, b float64, script [
 		}
 	}
 	tel := pr.Snapshot()
+	var recs []*dectrace.Record
+	if ring != nil {
+		recs = ring.Records()
+	}
 	for _, sess := range sessions {
 		srv.finish(sess)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return tel
+	return tel, recs
 }
 
 // TestDaemonHealthMatchesSimulator proves health monitoring
@@ -171,7 +180,7 @@ func TestDaemonHealthMatchesSimulator(t *testing.T) {
 				t.Fatal(err)
 			}
 			daemonMon := health.New(healthEquivalenceConfig())
-			daemonTel := replayScriptHealth(t, daemonPol, B, b, script, daemonMon, &telemetry.Probe{})
+			daemonTel, _ := replayScriptHealth(t, daemonPol, B, b, script, daemonMon, &telemetry.Probe{}, nil)
 
 			if !reflect.DeepEqual(daemonMon.Alerts(), simMon.Alerts()) {
 				t.Fatalf("firing sequences diverge:\ndaemon: %+v\nsim:    %+v",
@@ -220,6 +229,77 @@ func TestDaemonHealthMatchesSimulator(t *testing.T) {
 	if !fired {
 		t.Error("no policy fired any detector; the equivalence check is vacuous")
 	}
+
+	// All three observation layers at once, with a sampling probe: the
+	// kernel builds a point only when the probe is Due or a monitor is
+	// attached, and the monitor must still see every decision point while
+	// the probe keeps only the sampled ones.
+	for _, name := range policies {
+		t.Run(name+"/sampled+traced", func(t *testing.T) {
+			B, b, p, apps := equivalenceScenario()
+			pol, err := core.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const minInterval = 0.6
+			tr := &sim.Trace{}
+			simMon := health.New(healthEquivalenceConfig())
+			simRing := dectrace.NewRing(1 << 12)
+			simRes, err := sim.Run(sim.Config{
+				Platform: p, Scheduler: pol, Apps: apps, Trace: tr, CheckGrants: true,
+				Telemetry: &telemetry.Probe{MinInterval: minInterval}, Health: simMon,
+				DecisionTrace: simRing,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			script := buildScript(t, p, apps, tr, simRes)
+
+			daemonPol, err := core.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			daemonMon := health.New(healthEquivalenceConfig())
+			daemonTel, daemonRecs := replayScriptHealth(t, daemonPol, B, b, script, daemonMon,
+				&telemetry.Probe{MinInterval: minInterval}, dectrace.NewRing(1<<12))
+
+			simPts, daemonPts := simRes.Telemetry.Points, daemonTel.Points
+			if len(simPts) == 0 || len(simPts) >= simRes.Events {
+				t.Fatalf("%d sampled points over %d events: the probe did not sample", len(simPts), simRes.Events)
+			}
+			if !reflect.DeepEqual(daemonPts, simPts) {
+				t.Fatalf("sampled point series diverge:\ndaemon: %+v\nsim:    %+v", daemonPts, simPts)
+			}
+			if !reflect.DeepEqual(daemonMon.Alerts(), simMon.Alerts()) {
+				t.Fatalf("firing sequences diverge:\ndaemon: %+v\nsim:    %+v",
+					daemonMon.Alerts(), simMon.Alerts())
+			}
+			simRecs := simRing.Records()
+			if len(simRecs) == 0 || len(daemonRecs) != len(simRecs) {
+				t.Fatalf("daemon traced %d records, sim %d", len(daemonRecs), len(simRecs))
+			}
+			for i := range simRecs {
+				if got, want := traceComparable(daemonRecs[i]), traceComparable(simRecs[i]); !reflect.DeepEqual(got, want) {
+					t.Fatalf("record %d diverges:\ndaemon: %+v\nsim:    %+v", i, got, want)
+				}
+			}
+		})
+	}
+}
+
+// traceComparable strips a decision record of what legitimately differs
+// between the engines: the trigger vocabulary (event kinds in the
+// simulator, message types on the daemon) and the remaining volumes,
+// which the daemon learns only from progress reports the scripted replay
+// does not send.
+func traceComparable(r *dectrace.Record) dectrace.Record {
+	c := *r
+	c.Kind = ""
+	c.Apps = append([]dectrace.AppRecord(nil), r.Apps...)
+	for i := range c.Apps {
+		c.Apps[i].RemV = 0
+	}
+	return c
 }
 
 // dumpIncidentArtifact writes an encoded bundle from a failing

@@ -16,7 +16,7 @@ import (
 func (s *Server) WritePrometheus(w io.Writer) error {
 	m := s.Metrics()
 	s.mu.Lock()
-	pt := s.livePointLocked(s.now())
+	pt := s.k.Point(s.now(), s.capacity(), 0)
 	s.mu.Unlock()
 
 	pw := telemetry.NewPromWriter(w)
@@ -59,9 +59,9 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 	}
 	if s.tel != nil {
 		help := map[string]string{
-			"ioschedd_round_duration_seconds":   "Wall time of one allocation round (decide, re-arm wake, flush).",
+			"ioschedd_round_duration_seconds":   "Wall time of one allocation round (decide, enqueue pushes, re-arm wake).",
 			"ioschedd_grant_push_delay_seconds": "Grant enqueue to socket write completed.",
-			"ioschedd_decision_apply_seconds":   "Client message arrival to the round's grants flushed.",
+			"ioschedd_decision_apply_seconds":   "Client message arrival to the round's grants enqueued.",
 		}
 		for _, name := range s.tel.HistogramNames() {
 			pw.Histogram(name, help[name], s.tel.Histogram(name).Snapshot())

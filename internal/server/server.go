@@ -5,16 +5,17 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/decide"
 	"repro/internal/dectrace"
 	"repro/internal/health"
 	"repro/internal/telemetry"
-	"repro/internal/xsort"
 )
 
 // Config describes the scheduler daemon.
@@ -56,15 +57,15 @@ type Config struct {
 // Server is the global I/O scheduler daemon. Create with New, start with
 // Serve (or let ListenAndServe create the listener), stop with Close.
 //
-// The allocation path mirrors the simulator's hot loop (internal/sim): the
-// candidate set is maintained incrementally as messages arrive instead of
-// rescanning all sessions, policy invocations run out of reusable
-// core.Scratch buffers, and decision rounds that are provably redundant
-// under the policy's declared capabilities (Memoizable, Saturating,
-// SingleFullGrant) are resolved without invoking the policy at all. A
-// steady-state round — a progress report that changes no discrete
-// scheduler-visible state — therefore allocates nothing and pushes
-// nothing.
+// Decision rounds run on the same kernel as the simulator
+// (internal/decide): the candidate set is maintained incrementally as
+// messages arrive instead of rescanning all sessions, policy invocations
+// run out of reusable core.Scratch buffers, and decision rounds that are
+// provably redundant under the policy's declared capabilities
+// (Memoizable, Saturating, SingleFullGrant) are resolved without invoking
+// the policy at all. A steady-state round — a progress report that
+// changes no discrete scheduler-visible state — therefore allocates
+// nothing and pushes nothing.
 // Locking is split into three domains so connection lifecycle traffic
 // does not serialize behind allocation rounds:
 //
@@ -73,16 +74,16 @@ type Config struct {
 //   - reg, the sharded session registry (per-shard RWMutex), owns app-ID
 //     → session membership: handshakes and disconnects touch only their
 //     shard.
-//   - mu, the allocation-round lock, owns the candidate set, the
-//     decision memo, the push batch, the wake timer, the counters and
-//     every session's scheduler-visible state. Decision rounds stay
-//     single-threaded (and allocation-free) under it.
+//   - mu, the allocation-round lock, owns the decision kernel (candidate
+//     set, memo, counters), the wake timer and every session's
+//     scheduler-visible state. Decision rounds stay single-threaded (and
+//     allocation-free) under it, and enqueue their grant pushes under it,
+//     which pins each session's wire order to the round order.
 //
 // Ordering: shard locks may be acquired while holding mu (Metrics,
 // Snapshot); mu is never acquired while holding a shard lock — the
-// decision round resolves grant targets by binary search over the
-// ID-sorted candidate slice instead of reaching into the registry.
-// lifeMu nests with neither.
+// kernel resolves grant targets within its own candidate set instead of
+// reaching into the registry. lifeMu nests with neither.
 type Server struct {
 	cfg   Config
 	start time.Time
@@ -104,35 +105,11 @@ type Server struct {
 	// drive the decision path with exact float instants.
 	clock func() float64
 
-	// candidates holds the sessions whose view currently wants I/O,
-	// ascending by application ID. candVersion bumps on every membership
-	// change and on every discrete view-state change (the Memoizable
-	// contract of core/allocate.go, including the rule that applying a
-	// grant which flips Started/Phase/PendingSince invalidates the memo).
-	candidates  []*session
-	candVersion uint64
-	// want caches the candidate views slice handed to the policy; it is
-	// rebuilt only when wantVersion falls behind candVersion.
-	want        []*core.AppView
-	wantVersion uint64
-	wantValid   bool
-
-	// caps is the policy's capability set, resolved once; scr holds the
-	// policy's reusable allocation buffers.
-	caps core.EngineCaps
-	scr  core.Scratch
-
-	// Decision-skipping state: the candidate-set version of the last
-	// applied decision (capacity is constant for a daemon). decided is
-	// false until one happened.
-	decided        bool
-	decidedVersion uint64
-	round          uint64 // current decision round, for grantRound marking
-
-	// batch collects one round's grant pushes; it is flushed to the
-	// per-session outboxes before the state lock is released, so the
-	// per-session wire order is the round order.
-	batch []pushGrant
+	// k is the decision kernel; its candidate set holds the sessions
+	// whose view currently wants I/O, keyed by application ID.
+	k *decide.Kernel
+	// kind names what triggered the current round, for trace records.
+	kind string
 
 	// wake re-triggers allocation at a Waker policy's chosen time (e.g.
 	// core.Timeout promoting expired stalls). The timer is created once
@@ -143,16 +120,12 @@ type Server struct {
 	wakeArmed bool
 	wakeAt    float64
 
-	// Operational counters (see Metrics).
+	// Operational counters (see Metrics). rounds, decisions and skipped
+	// copy the kernel's counters after every round.
 	rounds    uint64
 	decisions uint64
 	skipped   uint64
 	pushes    uint64
-
-	// Per-reason skip breakdown; the three sum to skipped.
-	skippedMemo       uint64
-	skippedSaturating uint64
-	skippedSingle     uint64
 
 	// Advisor bookkeeping (see NoteForecast and SetPolicy).
 	forecasts    uint64
@@ -164,18 +137,30 @@ type Server struct {
 	// at construction so the hot path never takes the probe's histogram
 	// lock. All nil when telemetry is disabled.
 	tel       *telemetry.Probe
-	roundHist *telemetry.Histogram // full round: decide + arm + flush
+	roundHist *telemetry.Histogram // full round: decide + enqueue + arm
 	pushHist  *telemetry.Histogram // grant enqueue → socket write completed
-	applyHist *telemetry.Histogram // message arrival → grants flushed
+	applyHist *telemetry.Histogram // message arrival → grants enqueued
 	health    *health.Monitor      // resolved once in New; nil disables
+}
+
+// capacity is the daemon's constant allocation capacity.
+func (s *Server) capacity() core.Capacity {
+	return core.Capacity{TotalBW: s.cfg.TotalBW, NodeBW: s.cfg.NodeBW}
 }
 
 // session is one connected application.
 type session struct {
 	conn net.Conn
 	view core.AppView
-	bw   float64 // last decided grant
-	cand bool    // membership in Server.candidates
+	// bw is the last decided grant, and the last one pushed: the kernel
+	// reports only changed verdicts (Granted), so unchanged ones are
+	// never repeated — which keeps one chatty application from making
+	// the daemon spam bw=0 grants to every stalled peer on every round.
+	// A request sets it to NaN, which no verdict equals, so the request
+	// is always answered once, even with a zero.
+	bw float64
+	// cand is the session's record in the kernel's candidate set.
+	cand decide.Member
 
 	// profile is the phase plan announced in the hello (may be empty);
 	// instance counts the I/O phases completed so far, so profile[instance]
@@ -183,15 +168,6 @@ type session struct {
 	// work reconstructible for the digital twin (see Server.Snapshot).
 	profile  []PhaseSpec
 	instance int
-
-	// pushedBW is the last grant value enqueued to this session;
-	// pushedValid is false until the first push after a request (or
-	// registration), so a request's verdict — even a zero — is always
-	// answered once, and unchanged verdicts are never repeated. This is
-	// what keeps one chatty application from making the daemon spam
-	// bw=0 grants to every stalled peer on every round.
-	pushedBW    float64
-	pushedValid bool
 
 	// seq is the session's monotone grant sequence (see Message.Seq).
 	seq uint64
@@ -264,8 +240,14 @@ func New(cfg Config) (*Server, error) {
 		cfg:   cfg,
 		start: cfg.Now(),
 		conns: make(map[net.Conn]struct{}),
-		caps:  core.CapsOf(cfg.Policy),
 	}
+	s.k = decide.New(decide.Config{
+		Policy:    cfg.Policy,
+		Hooks:     (*roundHooks)(s),
+		Trace:     cfg.DecisionTrace,
+		Telemetry: cfg.Telemetry,
+		Health:    cfg.Health,
+	})
 	s.reg.init()
 	s.clock = func() float64 { return cfg.Now().Sub(s.start).Seconds() }
 	if cfg.Telemetry != nil {
@@ -443,16 +425,17 @@ func (s *Server) Metrics() Metrics {
 		healthState = s.health.State().String()
 		anomalies = s.health.Anomalies()
 	}
+	c := s.k.Counts()
 	return Metrics{
 		Policy:                 s.cfg.Policy.Name(),
 		Sessions:               s.reg.count(),
-		Candidates:             len(s.candidates),
+		Candidates:             s.k.Len(),
 		Rounds:                 s.rounds,
 		Decisions:              s.decisions,
 		Skipped:                s.skipped,
-		SkippedMemo:            s.skippedMemo,
-		SkippedSaturating:      s.skippedSaturating,
-		SkippedSingleFullGrant: s.skippedSingle,
+		SkippedMemo:            c.Memo,
+		SkippedSaturating:      c.Saturating,
+		SkippedSingleFullGrant: c.Single,
 		GrantPushes:            s.pushes,
 		UptimeSeconds:          s.now(),
 		ForecastsRun:           s.forecasts,
@@ -564,6 +547,7 @@ func (s *Server) register(conn net.Conn, msg *Message) (*session, error) {
 		pushHist: s.pushHist,
 	}
 	sess.outCond = sync.NewCond(&sess.outMu)
+	sess.cand = decide.Member{View: &sess.view, BW: &sess.bw, Key: msg.AppID, Owner: sess}
 
 	// Registry first, round lock second (never the reverse): the insert
 	// claims the app ID in its shard, then the allocation round below
@@ -650,12 +634,10 @@ func (s *Server) dispatch(sess *session, msg *Message) error {
 		sess.view.RemVolume = msg.Volume
 		sess.view.Started = false
 		sess.view.PendingSince = s.now()
-		// A fresh request must always be answered, even with a zero.
-		sess.pushedValid = false
-		s.candAddLocked(sess)
+		sess.bw = math.NaN() // answer the request, even with a zero
 		// The request changed discrete scheduler-visible state whether or
-		// not the session was already a candidate.
-		s.candVersion++
+		// not the session was already a candidate; Add records both.
+		s.k.Add(&sess.cand)
 	case TypeProgress:
 		if sess.view.WantsIO() && msg.Volume < sess.view.RemVolume {
 			sess.view.RemVolume = msg.Volume
@@ -681,7 +663,7 @@ func (s *Server) dispatch(sess *session, msg *Message) error {
 	s.roundLocked(kind)
 	if s.tel != nil {
 		// Decision-to-apply: message arrival (including the wait for the
-		// round lock) to the round's grants flushed into the outboxes.
+		// round lock) to the round's grants enqueued into the outboxes.
 		s.applyHist.ObserveDuration(time.Since(t0))
 	}
 	s.mu.Unlock()
@@ -701,8 +683,7 @@ func (s *Server) completeLocked(sess *session) {
 	sess.view.Started = false
 	sess.view.LastIOEnd = s.now()
 	sess.bw = 0
-	sess.pushedValid = false
-	s.candRemoveLocked(sess)
+	s.k.Remove(&sess.cand)
 }
 
 // finish deregisters a session, rebalances the survivors and drains the
@@ -712,86 +693,20 @@ func (s *Server) finish(sess *session) {
 		s.logf("app %d left", sess.view.ID)
 	}
 	s.mu.Lock()
-	s.candRemoveLocked(sess)
+	s.k.Remove(&sess.cand)
 	s.roundLocked("leave")
 	s.mu.Unlock()
 	sess.closeOutbox()
 }
 
-// --- incremental candidate tracking ----------------------------------------
-
-func sessLess(a, b *session) bool { return a.view.ID < b.view.ID }
-
-func (s *Server) candAddLocked(sess *session) {
-	if sess.cand {
-		return
-	}
-	sess.cand = true
-	s.candidates = xsort.Insert(s.candidates, sess, sessLess)
-	s.candVersion++
-}
-
-func (s *Server) candRemoveLocked(sess *session) {
-	if !sess.cand {
-		return
-	}
-	sess.cand = false
-	s.candidates = xsort.Remove(s.candidates, sess, sessLess)
-	s.candVersion++
-}
-
-// candByIDLocked returns the candidate session with the given app ID,
-// or nil. It binary-searches the ID-sorted candidate slice: the
-// decision round must not reach into the sharded registry (lock
-// ordering forbids shard → mu nesting, and grants can only target
-// candidates anyway) and must not allocate. Callers hold s.mu.
-//
-//iosched:allocfree
-func (s *Server) candByIDLocked(id int) *session {
-	lo, hi := 0, len(s.candidates)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.candidates[mid].view.ID < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s.candidates) && s.candidates[lo].view.ID == id {
-		return s.candidates[lo]
-	}
-	return nil
-}
-
-// wantViewsLocked returns the candidate views in ID order, rebuilding the
-// cached slice only when the candidate set changed.
-//
-//iosched:allocfree
-func (s *Server) wantViewsLocked() []*core.AppView {
-	if !s.wantValid || s.wantVersion != s.candVersion {
-		s.want = s.want[:0]
-		for _, sess := range s.candidates {
-			s.want = append(s.want, &sess.view)
-		}
-		s.wantVersion = s.candVersion
-		s.wantValid = true
-	}
-	return s.want
-}
-
 // --- decision rounds --------------------------------------------------------
 
-// pushGrant is one outgoing grant with its target session.
-type pushGrant struct {
-	sess *session
-	msg  Message
-}
-
-// roundLocked resolves the decision point for the current state, arms or
-// disarms the policy's wake timer and flushes the round's push batch to
-// the session outboxes. kind names what triggered the round (the client
-// message type, "hello", "leave", "wake" or "policy") for the decision
-// trace. Callers hold s.mu.
+// roundLocked resolves the decision point for the current state (the
+// kernel calls back into Granted, which enqueues the grant pushes), arms
+// or disarms the policy's wake timer and runs the kernel's observation
+// pass. kind names what triggered the round (the client message type,
+// "hello", "leave", "wake" or "policy") for the decision trace. Callers
+// hold s.mu.
 //
 //iosched:allocfree
 func (s *Server) roundLocked(kind string) {
@@ -799,265 +714,49 @@ func (s *Server) roundLocked(kind string) {
 	if s.tel != nil {
 		t0 = time.Now()
 	}
-	now := s.now()
-	s.decideLocked(now, kind)
+	now, cap := s.now(), s.capacity()
+	s.kind = kind
+	s.k.Decide(now, cap)
+	c := s.k.Counts()
+	s.decisions, s.skipped, s.rounds = c.Decisions, c.Skipped, c.Decisions+c.Skipped
 	s.armWakeLocked(now)
-	s.flushLocked()
 	if s.tel != nil {
 		s.roundHist.ObserveDuration(time.Since(t0))
-		s.observeLocked(now)
 	}
-	// Health observes every round (never Due-sampled) so the detectors'
-	// firing sequence is a deterministic function of the round history —
-	// the same points the simulator's observeHealth feeds its monitor.
-	if s.health != nil {
-		s.health.Observe(s.livePointLocked(now))
-	}
+	s.k.Observe(now, cap, 0)
 }
 
-// observeLocked samples the congestion signals into the probe, walking
-// the ID-sorted candidate set — the same signals, computed by the same
-// telemetry.PointBuilder operations, as the simulator's capture site, so
-// the two engines' series agree point for point on equivalent histories
-// (TestDaemonTelemetryMatchesSimulator). Callers hold s.mu.
+// roundHooks is the Server's side of the decision kernel (decide.Hooks),
+// kept off the Server's exported method set.
+type roundHooks Server
+
+// Granted pushes the session's changed verdict. Callers hold s.mu.
 //
 //iosched:allocfree
-func (s *Server) observeLocked(now float64) {
-	if s.tel == nil || !s.tel.Due(now) {
-		return
-	}
-	s.tel.Record(s.livePointLocked(now))
-	for _, id := range s.tel.TrackApps {
-		if sess := s.reg.get(id); sess != nil {
-			s.tel.RecordApp(id, now, 1/sess.view.Ratio(now))
-		}
-	}
-}
-
-// livePointLocked builds the current congestion sample. Callers hold
-// s.mu.
-//
-//iosched:allocfree
-func (s *Server) livePointLocked(now float64) telemetry.Point {
-	var b telemetry.PointBuilder
-	for _, sess := range s.candidates {
-		b.Add(now, &sess.view, sess.bw, s.cfg.NodeBW)
-	}
-	return b.Finish(now, s.cfg.TotalBW, 0)
-}
-
-// decideLocked runs one allocation round: skip when the outcome is
-// provably the previous one, apply the known uncongested outcome for
-// saturating policies, or invoke the policy. Grant pushes for sessions
-// whose bandwidth verdict changed are appended to s.batch.
-//
-//iosched:allocfree
-func (s *Server) decideLocked(now float64, kind string) {
-	if len(s.candidates) == 0 {
-		return
-	}
-	s.rounds++
-	cap := core.Capacity{TotalBW: s.cfg.TotalBW, NodeBW: s.cfg.NodeBW}
-
-	// Memoizable skip: the policy's output is a pure function of the
-	// candidate identities, their discrete state and the (constant)
-	// capacity; none changed since the applied decision. Discrete changes
-	// bump candVersion — including from inside applyGrantLocked, so a
-	// decision that flips view state invalidates its own memo.
-	if s.caps.Memoizable && s.decided && s.candVersion == s.decidedVersion {
-		s.skipped++
-		s.skippedMemo++
-		if s.cfg.DecisionTrace != nil {
-			// Memo skips omit apps and grants: both are the previous
-			// record's, unchanged by construction.
-			s.emitTraceLocked(core.SkipMemo, now, kind, cap, s.candVersion, nil, nil)
-		}
-		return
-	}
-
-	// Single-candidate fast path: a lone requester receives exactly
-	// min(β·b, B) under every SingleFullGrant policy.
-	if s.caps.SingleFullGrant && len(s.candidates) == 1 {
-		sess := s.candidates[0]
-		bw := float64(sess.view.Nodes) * cap.NodeBW
-		if bw > cap.TotalBW {
-			bw = cap.TotalBW
-		}
-		var apps []dectrace.AppRecord
-		if s.cfg.DecisionTrace != nil {
-			// Capture before applying: applyGrantLocked mutates the view.
-			apps = dectrace.CaptureApps(nil, s.wantViewsLocked())
-		}
-		s.applyGrantLocked(sess, bw, now)
-		s.skipped++
-		s.skippedSingle++
-		s.decided = true
-		// Post-apply version is sound: the outcome depends only on the
-		// candidate set, not on the fields applyGrantLocked changed.
-		s.decidedVersion = s.candVersion
-		if s.cfg.DecisionTrace != nil {
-			s.emitTraceLocked(core.SkipSingleFullGrant, now, kind, cap, s.candVersion, apps,
-				//iosched:allocfree-allow trace-enabled branch only: the GrantRecord slice is built under the DecisionTrace != nil gate
-				[]dectrace.GrantRecord{{ID: sess.view.ID, BW: bw}})
-		}
-		return
-	}
-
-	// Saturating fast path: when total demand fits the capacity with a
-	// margin that dwarfs greedy summation rounding, a Saturating policy
-	// grants every candidate exactly β·b whatever its internal order.
-	if s.caps.Saturating {
-		demand := 0.0
-		for _, sess := range s.candidates {
-			demand += float64(sess.view.Nodes) * cap.NodeBW
-		}
-		if demand <= cap.TotalBW*(1-1e-9) {
-			var apps []dectrace.AppRecord
-			var grants []dectrace.GrantRecord
-			if s.cfg.DecisionTrace != nil {
-				want := s.wantViewsLocked() // candidate order
-				apps = dectrace.CaptureApps(nil, want)
-				grants = dectrace.CaptureFullGrants(nil, want, cap.NodeBW)
-			}
-			for _, sess := range s.candidates {
-				s.applyGrantLocked(sess, float64(sess.view.Nodes)*cap.NodeBW, now)
-			}
-			s.skipped++
-			s.skippedSaturating++
-			s.decided = true
-			s.decidedVersion = s.candVersion
-			if s.cfg.DecisionTrace != nil {
-				s.emitTraceLocked(core.SkipSaturating, now, kind, cap, s.candVersion, apps, grants)
-			}
-			return
-		}
-	}
-
-	want := s.wantViewsLocked()
-	// The decision is computed from the views as they are NOW; capture
-	// the version before application, because applying the grants can
-	// itself change discrete view state (bumping candVersion), and a memo
-	// over the pre-application inputs must not survive that.
-	ver := s.candVersion
-	grants := core.AllocateWith(s.cfg.Policy, &s.scr, now, want, cap)
-	s.decisions++
-	if s.cfg.DecisionTrace != nil {
-		// Views are still pre-application here; the apply loop below is
-		// what mutates them.
-		s.emitTraceLocked(core.SkipNone, now, kind, cap, ver,
-			dectrace.CaptureApps(nil, want), dectrace.CaptureGrants(nil, grants))
-	}
-	s.round++
-	for _, g := range grants {
-		if sess := s.candByIDLocked(g.AppID); sess != nil {
-			sess.grantRound = s.round
-			sess.grantBW = g.BW
-		}
-	}
-	for _, sess := range s.candidates {
-		bw := 0.0
-		if sess.grantRound == s.round {
-			bw = sess.grantBW
-		}
-		s.applyGrantLocked(sess, bw, now)
-	}
-	s.decided = true
-	s.decidedVersion = ver
-}
-
-// emitTraceLocked builds one decision record and hands it to the attached
-// sink. Callers hold s.mu and pass pre-captured apps/grants (nil for memo
-// skips). Counters in the record are post-round.
-func (s *Server) emitTraceLocked(verdict core.SkipReason, now float64, kind string, cap core.Capacity, ver uint64, apps []dectrace.AppRecord, grants []dectrace.GrantRecord) {
-	if s.cfg.DecisionTrace == nil {
-		return
-	}
-	s.cfg.DecisionTrace.Observe(&dectrace.Record{
-		Seq:         s.rounds,
-		Time:        now,
-		Kind:        kind,
-		Policy:      s.cfg.Policy.Name(),
-		Verdict:     verdict.String(),
-		CandVersion: ver,
-		TotalBW:     cap.TotalBW,
-		NodeBW:      cap.NodeBW,
-		Decisions:   int(s.decisions),
-		Skipped:     int(s.skipped),
-		Apps:        apps,
-		Grants:      grants,
-	})
-}
-
-// applyGrantLocked installs one session's bandwidth verdict, keeps the
-// scheduler-visible phase in step, and enqueues a push when the verdict
-// changed (or was never answered since the last request).
-//
-// Applying a decision can itself change discrete view state a Memoizable
-// policy is allowed to read — Started flips true on a first grant, Phase
-// toggles, a preemption restarts PendingSince. Each such change bumps
-// candVersion so the memo over the pre-application inputs dies with it
-// (the iosched-sim/3 rule shared with internal/sim).
-//
-//iosched:allocfree
-func (s *Server) applyGrantLocked(sess *session, bw, now float64) {
-	sess.bw = bw
-	if bw > 0 {
-		if !sess.view.Started || sess.view.Phase != core.Transferring {
-			s.candVersion++
-		}
-		sess.view.Phase = core.Transferring
-		sess.view.Started = true
-	} else {
-		if sess.view.Phase == core.Transferring {
-			// Preempted: the stall clock restarts now.
-			sess.view.PendingSince = now
-			s.candVersion++
-		}
-		sess.view.Phase = core.Pending
-	}
-	if sess.pushedValid && bw == sess.pushedBW {
-		return // unchanged verdict; don't spam the client
-	}
-	sess.pushedValid = true
-	sess.pushedBW = bw
+func (h *roundHooks) Granted(m *decide.Member) {
+	s := (*Server)(h)
+	sess := m.Owner.(*session)
 	sess.seq++
 	s.pushes++
-	s.batch = append(s.batch, pushGrant{
-		sess: sess,
-		msg:  Message{Type: TypeGrant, AppID: sess.view.ID, BW: bw, Seq: sess.seq},
-	})
+	sess.enqueue(Message{Type: TypeGrant, AppID: sess.view.ID, BW: sess.bw, Seq: sess.seq})
 }
 
-// flushLocked moves the round's push batch into the session outboxes.
-// Enqueueing under s.mu pins each session's wire order to the round
-// order; the actual writes happen in the per-session writer goroutines.
-//
-//iosched:allocfree
-func (s *Server) flushLocked() {
-	for i := range s.batch {
-		s.batch[i].sess.enqueue(s.batch[i].msg)
-		s.batch[i].sess = nil
-	}
-	s.batch = s.batch[:0]
-}
+// Kind names the current round's trigger.
+func (h *roundHooks) Kind() string { return h.kind }
 
 // --- wake timer -------------------------------------------------------------
 
-// armWakeLocked (re)arms the policy's self-wake timer, or disarms it when
-// the candidate set is empty (a wake without candidates could only fire a
-// spurious round). Callers hold s.mu.
+// armWakeLocked (re)arms a Waker policy's self-wake timer, or disarms it
+// when the policy wants no wake — in particular when the candidate set is
+// empty (a wake without candidates could only fire a spurious round).
+// Callers hold s.mu.
 //
 //iosched:allocfree
 func (s *Server) armWakeLocked(now float64) {
-	if s.caps.Waker == nil || s.closed.Load() {
+	if s.closed.Load() {
 		return
 	}
-	if len(s.candidates) == 0 {
-		//iosched:allocfree-allow inlined time.Timer.Stop panic-path string; unreachable once the timer exists
-		s.disarmWakeLocked()
-		return
-	}
-	wake, want := s.caps.Waker.NextWake(now, s.wantViewsLocked())
+	wake, want := s.k.NextWake(now)
 	if !want || wake <= now {
 		//iosched:allocfree-allow inlined time.Timer.Stop panic-path string; unreachable once the timer exists
 		s.disarmWakeLocked()

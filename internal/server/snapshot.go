@@ -112,14 +112,10 @@ func (s *Server) SetPolicy(p core.Scheduler) error {
 		return nil // no-op switch; keep the memo and the counters
 	}
 	s.cfg.Policy = p
-	s.caps = core.CapsOf(p)
-	s.decided = false
+	s.k.SetPolicy(p)
 	s.switches++
-	if s.caps.Waker == nil {
-		// The previous policy's self-wake has no meaning under a
-		// non-Waker successor.
-		s.disarmWakeLocked()
-	}
+	// The round disarms the previous policy's self-wake when the
+	// successor is no Waker.
 	s.roundLocked("policy")
 	return nil
 }

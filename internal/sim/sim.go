@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/bb"
 	"repro/internal/core"
+	"repro/internal/decide"
 	"repro/internal/dectrace"
 	"repro/internal/des"
 	"repro/internal/health"
@@ -151,19 +152,16 @@ type appState struct {
 	// left), or requesting.
 	timer des.Handle
 
-	// activePos/candPos are the app's slots in the unordered membership
-	// sets (simulation.active / simulation.candidates), -1 when absent.
-	// Storing the position makes removal a swap with the last element —
-	// O(1) instead of the former O(population) memmove through a sorted
-	// slice, which dominated runs at 100k applications.
+	// activePos is the app's slot in the unordered transferring set
+	// (simulation.active), -1 when absent. Storing the position makes
+	// removal a swap with the last element — O(1) instead of the former
+	// O(population) memmove through a sorted slice, which dominated runs
+	// at 100k applications.
 	activePos int32
-	candPos   int32
 
-	// grantRound/grantBW communicate one decision's grant without a
-	// per-decision map: valid when grantRound equals the simulation's
-	// current round.
-	grantRound uint64
-	grantBW    float64
+	// cand is the app's record in the decision kernel's candidate set,
+	// keyed by index.
+	cand decide.Member
 
 	ioTime float64
 	finish float64
@@ -204,22 +202,14 @@ type simulation struct {
 	p   *platform.Platform
 	// apps is a flat arena, one slot per application in config order
 	// (dense app index). It is sized once and never reallocated, so
-	// interior pointers — timer closures, the byID map, the due list —
-	// stay valid for the life of the run.
+	// interior pointers — timer closures, the kernel's members, the due
+	// list — stay valid for the life of the run.
 	apps []appState
-	byID map[int]*appState
 
 	eng des.Engine // deadline timers (release / compute end / request ready)
 
-	now       float64
-	events    int
-	decisions int
-	skipped   int
-
-	// Per-reason skip breakdown; the three sum to skipped.
-	skippedMemo       int
-	skippedSaturating int
-	skippedSingle     int
+	now    float64
+	events int
 
 	// firedKinds is the bitmask of phase transitions the current event
 	// instant fired, reset by fireDue; it names the decision trigger in
@@ -242,18 +232,10 @@ type simulation struct {
 	activeSorted        []int32
 	activeSortedVersion uint64
 
-	// candidates holds the app indices of the allocator-visible set
-	// (doingIO, entered with more than volEps remaining), unordered.
-	// candVersion bumps on every membership change (and on discrete view
-	// changes in applyGrant); it drives both the decision memo and the
-	// want cache. candSorted/want are the index-ordered view the
-	// scheduler sees, materialized only when a decision point actually
-	// reads it — memo and saturating skip rounds never pay the sort.
-	candidates  []int32
-	candVersion uint64
-	candSorted  []int32
-	want        []*core.AppView
-	wantVersion uint64
+	// k is the decision kernel. Its candidate set is the
+	// allocator-visible set: apps in doingIO that entered with more than
+	// volEps remaining.
+	k *decide.Kernel
 
 	// zeroPending holds apps that entered doingIO at or below volEps:
 	// they are invisible to the allocator and complete at the next event
@@ -262,19 +244,6 @@ type simulation struct {
 
 	// due is the per-instant firing list, reused across events.
 	due []*appState
-
-	// Scheduler capabilities, resolved once (core.CapsOf).
-	caps core.EngineCaps
-
-	// Decision-skipping state: the candidate-set version and capacity of
-	// the last applied decision. decided is false until one happened.
-	decided        bool
-	decidedVersion uint64
-	decidedCap     core.Capacity
-
-	round uint64 // current decision round, for grantRound marking
-
-	scr core.Scratch
 
 	// buffer is non-nil when the run stages writes through a burst
 	// buffer.
@@ -285,8 +254,8 @@ type simulation struct {
 
 func newSimulation(cfg Config) *simulation {
 	s := &simulation{cfg: cfg, p: cfg.Platform}
+	s.setup()
 	s.apps = make([]appState, len(cfg.Apps))
-	s.byID = make(map[int]*appState, len(cfg.Apps))
 	arms := make([]des.Arm, len(cfg.Apps))
 	for i, a := range cfg.Apps {
 		st := &s.apps[i]
@@ -296,7 +265,6 @@ func newSimulation(cfg Config) *simulation {
 			phase:     notReleased,
 			until:     a.Release,
 			activePos: -1,
-			candPos:   -1,
 			view: core.AppView{
 				ID:        a.ID,
 				Nodes:     a.Nodes,
@@ -305,8 +273,8 @@ func newSimulation(cfg Config) *simulation {
 				LastIOEnd: a.Release,
 			},
 		}
+		st.cand = decide.Member{View: &st.view, BW: &st.bw, Key: i, Owner: st}
 		arms[i] = des.Arm{At: a.Release, Fn: func() { s.due = append(s.due, st) }}
-		s.byID[a.ID] = st
 	}
 	// Bulk-arm the release timers: sequence numbers are assigned in app
 	// order exactly as the former per-app At loop did, so same-instant
@@ -316,7 +284,6 @@ func newSimulation(cfg Config) *simulation {
 		s.apps[i].timer = h
 	}
 	s.unfinished = len(s.apps)
-	s.finishSetup()
 	return s
 }
 
@@ -339,12 +306,19 @@ func DefaultMaxTime(cfg Config) float64 {
 	return maxRelease + 20*horizon + 1e4
 }
 
-// finishSetup resolves the config-derived fields shared by the fresh and
-// the snapshot-restore constructors: scheduler capabilities, the time
-// horizon and the burst-buffer model.
-func (s *simulation) finishSetup() {
+// setup resolves the config-derived fields shared by the fresh and the
+// snapshot-restore constructors: the decision kernel, the time horizon
+// and the burst-buffer model.
+func (s *simulation) setup() {
 	cfg := s.cfg
-	s.caps = core.CapsOf(cfg.Scheduler)
+	s.k = decide.New(decide.Config{
+		Policy:      cfg.Scheduler,
+		Hooks:       s,
+		CheckGrants: cfg.CheckGrants,
+		Trace:       cfg.DecisionTrace,
+		Telemetry:   cfg.Telemetry,
+		Health:      cfg.Health,
+	})
 	s.maxTime = DefaultMaxTime(cfg)
 	if cfg.UseBB {
 		buf := cfg.Platform.BurstBuffer
@@ -355,73 +329,10 @@ func (s *simulation) finishSetup() {
 func (s *simulation) run() (*Result, error) {
 	s.fireDue() // releases due at t = 0
 	s.decide()
-	s.observe()
-	s.observeHealth()
 	if _, err := s.loop(math.Inf(1)); err != nil {
 		return nil, err
 	}
 	return s.collect(), nil
-}
-
-// observe samples the congestion signals into the attached telemetry
-// probe. Called right after every decision point so the sample reflects
-// the grants just applied; nil-gated so a run without telemetry pays
-// only this comparison. The candidate walk follows the index-ordered
-// sorted view — the same order the scheduler sees, and (for workloads
-// whose app IDs ascend with config order, like every generated one) the
-// ID order the daemon's capture site walks, which is what makes the two
-// engines' series bit-comparable.
-func (s *simulation) observe() {
-	pr := s.cfg.Telemetry
-	if pr == nil {
-		return
-	}
-	if !pr.Due(s.now) {
-		return
-	}
-	cap := s.capacity()
-	var b telemetry.PointBuilder
-	views := s.wantViews()
-	for i, v := range views {
-		b.Add(s.now, v, s.apps[s.candSorted[i]].bw, cap.NodeBW)
-	}
-	lvl := 0.0
-	if s.buffer != nil {
-		lvl = s.buffer.Level()
-	}
-	pr.Record(b.Finish(s.now, cap.TotalBW, lvl))
-	for _, id := range pr.TrackApps {
-		st := s.byID[id]
-		if st == nil || st.phase == notReleased || st.phase == finished {
-			continue
-		}
-		pr.RecordApp(id, s.now, 1/st.view.Ratio(s.now))
-	}
-}
-
-// observeHealth feeds the decision point's congestion signals to the
-// attached health monitor. Unlike observe it is never Due-gated: the
-// detectors see every decision point, so the firing sequence depends
-// only on the workload and policy — the same points the daemon's
-// capture site feeds its monitor, which is what makes the two engines'
-// firing sequences bit-identical (TestDaemonHealthMatchesSimulator).
-// Nil-gated so a run without health pays only this comparison.
-func (s *simulation) observeHealth() {
-	h := s.cfg.Health
-	if h == nil {
-		return
-	}
-	cap := s.capacity()
-	var b telemetry.PointBuilder
-	views := s.wantViews()
-	for i, v := range views {
-		b.Add(s.now, v, s.apps[s.candSorted[i]].bw, cap.NodeBW)
-	}
-	lvl := 0.0
-	if s.buffer != nil {
-		lvl = s.buffer.Level()
-	}
-	h.Observe(b.Finish(s.now, cap.TotalBW, lvl))
 }
 
 // loop processes events until the workload finishes or the next event
@@ -452,12 +363,11 @@ func (s *simulation) loop(stopAt float64) (bool, error) {
 		s.advanceTo(next)
 		s.fireDue()
 		s.decide()
-		s.observe()
-		s.observeHealth()
 		s.events++
 		if s.events > maxEvents {
+			c := s.k.Counts()
 			return false, fmt.Errorf("sim: exceeded event budget %d at t=%g (%d decisions, %d skipped; %s)",
-				maxEvents, s.now, s.decisions, s.skipped, s.census())
+				maxEvents, s.now, c.Decisions, c.Skipped, s.census())
 		}
 	}
 	return true, nil
@@ -507,12 +417,12 @@ func (s *simulation) census() string {
 
 // --- incremental set maintenance ------------------------------------------
 //
-// The active and candidate sets are unordered index slices with O(1)
-// add (append) and O(1) remove (swap with the last element); each app
-// stores its slot so no search is needed. Order-sensitive consumers —
-// the scheduler's view slice and the burst-buffer inflow sum — read
-// lazily materialized sorted copies instead, so membership churn never
-// pays more than constant time and skip rounds never pay the sort.
+// The active set is an unordered index slice with O(1) add (append) and
+// O(1) remove (swap with the last element); each app stores its slot so
+// no search is needed. The one order-sensitive consumer — the
+// burst-buffer inflow sum — reads a lazily materialized sorted copy, so
+// membership churn never pays more than constant time. The candidate set
+// follows the same scheme inside the decision kernel.
 
 func byIndex(a, b *appState) bool { return a.index < b.index }
 
@@ -538,28 +448,6 @@ func (s *simulation) activeRemove(st *appState) {
 	s.activeVersion++
 }
 
-func (s *simulation) candAdd(st *appState) {
-	if st.candPos >= 0 {
-		return
-	}
-	st.candPos = int32(len(s.candidates))
-	s.candidates = append(s.candidates, int32(st.index))
-	s.candVersion++
-}
-
-func (s *simulation) candRemove(st *appState) {
-	if st.candPos < 0 {
-		return
-	}
-	i, n := st.candPos, len(s.candidates)-1
-	moved := s.candidates[n]
-	s.candidates[i] = moved
-	s.apps[moved].candPos = i
-	s.candidates = s.candidates[:n]
-	st.candPos = -1
-	s.candVersion++
-}
-
 // sortedActive returns the transferring set ascending by app index,
 // rebuilt only when membership changed. It exists for the burst-buffer
 // inflow sum, whose floating-point accumulation order is observable.
@@ -570,22 +458,6 @@ func (s *simulation) sortedActive() []int32 {
 		s.activeSortedVersion = s.activeVersion
 	}
 	return s.activeSorted
-}
-
-// wantViews returns the candidate views in index order, sorting and
-// rebuilding the cached slice only when the candidate set changed since
-// the last decision point that read it.
-func (s *simulation) wantViews() []*core.AppView {
-	if s.wantVersion != s.candVersion || s.want == nil {
-		s.candSorted = append(s.candSorted[:0], s.candidates...)
-		slices.Sort(s.candSorted)
-		s.want = s.want[:0]
-		for _, i := range s.candSorted {
-			s.want = append(s.want, &s.apps[i].view)
-		}
-		s.wantVersion = s.candVersion
-	}
-	return s.want
 }
 
 // --- phase transitions ----------------------------------------------------
@@ -633,7 +505,7 @@ func (s *simulation) beginIO(st *appState) {
 	st.view.PendingSince = s.now
 	st.until = math.Inf(1)
 	if st.view.RemVolume > volEps {
-		s.candAdd(st)
+		s.k.Add(&st.cand)
 	} else {
 		// Below the allocator's threshold: never a candidate; the
 		// original loop's per-event volume sweep completed it at the
@@ -650,7 +522,7 @@ func (s *simulation) completeIO(st *appState) {
 	st.ioTime += s.now - st.ioStart
 	st.bw = 0
 	s.activeRemove(st)
-	s.candRemove(st)
+	s.k.Remove(&st.cand)
 	s.completeInstance(st)
 }
 
@@ -688,22 +560,13 @@ func (s *simulation) nextEventTime() float64 {
 	if t, ok := s.bbFillTime(); ok && t < next {
 		next = t
 	}
-	if t, ok := s.schedulerWake(); ok && t > s.now && t < next {
+	if t, ok := s.k.NextWake(s.now); ok && t > s.now && t < next {
 		next = t
 	}
 	if next < s.now {
 		next = s.now
 	}
 	return next
-}
-
-// schedulerWake asks a Waker scheduler for its next self-chosen decision
-// point.
-func (s *simulation) schedulerWake() (float64, bool) {
-	if s.caps.Waker == nil || len(s.candidates) == 0 {
-		return 0, false
-	}
-	return s.caps.Waker.NextWake(s.now, s.wantViews())
 }
 
 // bbFillTime returns the time the burst buffer becomes full at current
@@ -827,144 +690,20 @@ func (s *simulation) capacity() core.Capacity {
 	return c
 }
 
-// decide resolves the decision point at the current instant: skip when the
-// outcome is provably the previous one, apply the known uncongested
-// outcome for saturating policies, or invoke the scheduler.
+// bbLevel returns the burst-buffer fill level, 0 without a buffer.
+func (s *simulation) bbLevel() float64 {
+	if s.buffer == nil {
+		return 0
+	}
+	return s.buffer.Level()
+}
+
+// decide resolves and observes the decision point at the current
+// instant.
 func (s *simulation) decide() {
-	if len(s.candidates) == 0 {
-		return
-	}
 	cap := s.capacity()
-
-	// Memoizable skip: the policy's output is a pure function of the
-	// candidate set, its discrete state and the capacity; none of them
-	// changed since the applied decision, so re-deciding would re-apply
-	// identical grants. Discrete view fields change at events that bump
-	// candVersion — and at decision application itself (Started, Phase,
-	// PendingSince), where applyGrant bumps candVersion too, so a decision
-	// that changed what a policy may read invalidates its own memo.
-	if s.caps.Memoizable && s.decided && s.candVersion == s.decidedVersion && cap == s.decidedCap {
-		s.skipped++
-		s.skippedMemo++
-		if s.cfg.DecisionTrace != nil {
-			// Memo skips omit apps and grants: both are the previous
-			// record's, unchanged by construction.
-			s.emitTrace(core.SkipMemo, cap, s.candVersion, nil, nil)
-		}
-		return
-	}
-
-	// Single-candidate fast path: a lone requester receives exactly
-	// min(β·b, B) under every SingleFullGrant policy, whatever the
-	// decision time — the expressions below mirror GreedyAllocate's bit
-	// for bit.
-	if s.caps.SingleFullGrant && len(s.candidates) == 1 {
-		st := &s.apps[s.candidates[0]]
-		bw := float64(st.view.Nodes) * cap.NodeBW
-		if bw > cap.TotalBW {
-			bw = cap.TotalBW
-		}
-		var apps []dectrace.AppRecord
-		if s.cfg.DecisionTrace != nil {
-			// Capture before applying: applyGrant mutates the view.
-			apps = dectrace.CaptureApps(nil, s.wantViews())
-		}
-		s.applyGrant(st, bw)
-		s.skipped++
-		s.skippedSingle++
-		s.decided = true
-		if s.cfg.DecisionTrace != nil {
-			s.emitTrace(core.SkipSingleFullGrant, cap, s.candVersion, apps,
-				[]dectrace.GrantRecord{{ID: st.view.ID, BW: bw}})
-		}
-		// Recording the post-apply version is sound here: the outcome
-		// depends only on the candidate set and the capacity, not on the
-		// fields applyGrant may have just changed.
-		s.decidedVersion = s.candVersion
-		s.decidedCap = cap
-		return
-	}
-
-	// Saturating fast path: when total demand fits the capacity with a
-	// relative margin that dwarfs greedy summation rounding, a
-	// Saturating policy grants every candidate exactly β·b whatever its
-	// internal order — apply that outcome directly. The same margin is
-	// what lets the sum run over the unordered set: any accumulation
-	// order lands on the same side of the threshold, so skip rounds
-	// never materialize the sorted view.
-	if s.caps.Saturating {
-		demand := 0.0
-		for _, i := range s.candidates {
-			demand += float64(s.apps[i].view.Nodes) * cap.NodeBW
-		}
-		if demand <= cap.TotalBW*(1-1e-9) {
-			var apps []dectrace.AppRecord
-			var grants []dectrace.GrantRecord
-			if s.cfg.DecisionTrace != nil {
-				// Trace records are order-sensitive artifacts: capture
-				// apps and grants from the sorted view.
-				want := s.wantViews()
-				apps = dectrace.CaptureApps(nil, want)
-				grants = dectrace.CaptureFullGrants(nil, want, cap.NodeBW)
-			}
-			for _, i := range s.candidates {
-				st := &s.apps[i]
-				s.applyGrant(st, float64(st.view.Nodes)*cap.NodeBW)
-			}
-			s.skipped++
-			s.skippedSaturating++
-			s.decided = true
-			if s.cfg.DecisionTrace != nil {
-				s.emitTrace(core.SkipSaturating, cap, s.candVersion, apps, grants)
-			}
-			// Post-apply version, as above: with the same set and capacity
-			// the demand is the same, and a Saturating policy re-grants the
-			// full caps whatever discrete state the application changed.
-			s.decidedVersion = s.candVersion
-			s.decidedCap = cap
-			return
-		}
-	}
-
-	want := s.wantViews()
-	// The decision is computed from the views as they are NOW; capture the
-	// version before application, because applying the grants can itself
-	// change discrete view state (bumping candVersion), and a memo over
-	// the pre-application inputs must not survive that.
-	ver := s.candVersion
-	grants := core.AllocateWith(s.cfg.Scheduler, &s.scr, s.now, want, cap)
-	s.decisions++
-	if s.cfg.CheckGrants {
-		if err := core.ValidateGrants(grants, want, cap); err != nil {
-			panic(fmt.Sprintf("sim: scheduler %s: %v", s.cfg.Scheduler.Name(), err))
-		}
-	}
-	if s.cfg.DecisionTrace != nil {
-		// Views are still pre-application here; the apply loop below is
-		// what mutates them.
-		s.emitTrace(core.SkipNone, cap, ver,
-			dectrace.CaptureApps(nil, want), dectrace.CaptureGrants(nil, grants))
-	}
-	s.round++
-	for _, g := range grants {
-		if st := s.byID[g.AppID]; st != nil {
-			st.grantRound = s.round
-			st.grantBW = g.BW
-		}
-	}
-	// applyGrant touches only per-app state and O(1) set membership, so
-	// the unordered walk is equivalent to the former sorted one.
-	for _, i := range s.candidates {
-		st := &s.apps[i]
-		bw := 0.0
-		if st.grantRound == s.round {
-			bw = st.grantBW
-		}
-		s.applyGrant(st, bw)
-	}
-	s.decided = true
-	s.decidedVersion = ver
-	s.decidedCap = cap
+	s.k.Decide(s.now, cap)
+	s.k.Observe(s.now, cap, s.bbLevel())
 }
 
 // Bits of simulation.firedKinds: which phase transitions the current
@@ -1006,70 +745,30 @@ func kindString(mask uint8) string {
 	return b.String()
 }
 
-// emitTrace builds one decision record and hands it to the attached sink.
-// Callers pass pre-captured apps/grants (nil for memo skips) and the
-// candidate-set version the decision is memoized under.
-func (s *simulation) emitTrace(verdict core.SkipReason, cap core.Capacity, ver uint64, apps []dectrace.AppRecord, grants []dectrace.GrantRecord) {
-	if s.cfg.DecisionTrace == nil {
-		return
-	}
-	s.cfg.DecisionTrace.Observe(&dectrace.Record{
-		Seq:         uint64(s.decisions + s.skipped),
-		Time:        s.now,
-		Kind:        kindString(s.firedKinds),
-		Policy:      s.cfg.Scheduler.Name(),
-		Verdict:     verdict.String(),
-		CandVersion: ver,
-		TotalBW:     cap.TotalBW,
-		NodeBW:      cap.NodeBW,
-		Decisions:   s.decisions,
-		Skipped:     s.skipped,
-		Apps:        apps,
-		Grants:      grants,
-	})
-}
-
-// applyGrant installs one application's new bandwidth and keeps the
-// scheduler-visible phase and the transferring set in step.
-//
-// Applying a decision can itself change discrete view state a Memoizable
-// policy is allowed to read — Started flips true on a first grant (the
-// Priority partition orders on it), Phase toggles, and a preemption
-// restarts PendingSince. Each such change bumps candVersion so the memo
-// over the pre-application inputs dies with it: the next event re-invokes
-// the scheduler exactly where the pre-refactor every-event loop could
-// have decided differently (e.g. a partially-granted application that
-// just became Started overtaking the previously started one under
-// Priority-RoundRobin). Re-applying an unchanged decision bumps nothing,
-// so steady congested states still converge to memo skips.
-func (s *simulation) applyGrant(st *appState, bw float64) {
-	st.bw = bw
-	if bw > 0 {
-		if !st.view.Started || st.view.Phase != core.Transferring {
-			s.candVersion++
-		}
-		st.view.Phase = core.Transferring
-		st.view.Started = true
+// Granted keeps the transferring set in step with a changed verdict
+// (decide.Hooks).
+func (s *simulation) Granted(m *decide.Member) {
+	st := m.Owner.(*appState)
+	if st.bw > 0 {
 		s.activeAdd(st)
 	} else {
-		if st.view.Phase == core.Transferring {
-			// Preempted: the stall clock restarts now.
-			st.view.PendingSince = s.now
-			s.candVersion++
-		}
-		st.view.Phase = core.Pending
 		s.activeRemove(st)
 	}
 }
 
+// Kind names the phase transitions the current event instant fired
+// (decide.Hooks).
+func (s *simulation) Kind() string { return kindString(s.firedKinds) }
+
 func (s *simulation) collect() *Result {
+	c := s.k.Counts()
 	res := &Result{
 		Events:                 s.events,
-		Decisions:              s.decisions,
-		Skipped:                s.skipped,
-		SkippedMemo:            s.skippedMemo,
-		SkippedSaturating:      s.skippedSaturating,
-		SkippedSingleFullGrant: s.skippedSingle,
+		Decisions:              int(c.Decisions),
+		Skipped:                int(c.Skipped),
+		SkippedMemo:            int(c.Memo),
+		SkippedSaturating:      int(c.Saturating),
+		SkippedSingleFullGrant: int(c.Single),
 	}
 	if s.buffer != nil {
 		res.BBPeakLevel = s.buffer.Peak()

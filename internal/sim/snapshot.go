@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/decide"
 )
 
 // Snapshot is the complete state of a simulation at one processed event
@@ -147,7 +148,6 @@ func RunToSnapshot(cfg Config, stopAt float64) (*Snapshot, error) {
 	s := newSimulation(cfg)
 	s.fireDue()
 	s.decide()
-	s.observe()
 	if _, err := s.loop(stopAt); err != nil {
 		return nil, err
 	}
@@ -167,7 +167,6 @@ func Resume(cfg Config, snap *Snapshot) (*Result, error) {
 	}
 	if snap.RedecideOnResume {
 		s.decide()
-		s.observe()
 	}
 	if _, err := s.loop(math.Inf(1)); err != nil {
 		return nil, err
@@ -187,7 +186,6 @@ func ResumeToSnapshot(cfg Config, snap *Snapshot, stopAt float64) (*Snapshot, er
 	}
 	if snap.RedecideOnResume {
 		s.decide()
-		s.observe()
 	}
 	if _, err := s.loop(stopAt); err != nil {
 		return nil, err
@@ -199,20 +197,21 @@ func ResumeToSnapshot(cfg Config, snap *Snapshot, stopAt float64) (*Snapshot, er
 // iterations: every event at the current instant has fired and the
 // decision point is resolved, so the lists and the memo are consistent.
 func (s *simulation) snapshot() *Snapshot {
+	ks := s.k.State()
 	snap := &Snapshot{
 		Time:                   s.now,
 		Events:                 s.events,
-		Decisions:              s.decisions,
-		Skipped:                s.skipped,
-		SkippedMemo:            s.skippedMemo,
-		SkippedSaturating:      s.skippedSaturating,
-		SkippedSingleFullGrant: s.skippedSingle,
-		CandVersion:            s.candVersion,
+		Decisions:              int(ks.Decisions),
+		Skipped:                int(ks.Skipped),
+		SkippedMemo:            int(ks.Memo),
+		SkippedSaturating:      int(ks.Saturating),
+		SkippedSingleFullGrant: int(ks.Single),
+		CandVersion:            ks.Version,
 	}
-	if s.decided && s.candVersion == s.decidedVersion {
+	if ks.MemoValid {
 		snap.MemoValid = true
-		snap.MemoTotalBW = s.decidedCap.TotalBW
-		snap.MemoNodeBW = s.decidedCap.NodeBW
+		snap.MemoTotalBW = ks.MemoCap.TotalBW
+		snap.MemoNodeBW = ks.MemoCap.NodeBW
 	}
 	if s.buffer != nil {
 		snap.BB = &BBState{
@@ -282,14 +281,9 @@ func newSimulationFromSnapshot(cfg Config, snap *Snapshot) (*simulation, error) 
 	}
 
 	s := &simulation{cfg: cfg, p: cfg.Platform, now: snap.Time}
+	s.setup()
 	s.apps = make([]appState, len(cfg.Apps))
-	s.byID = make(map[int]*appState, len(cfg.Apps))
 	s.events = snap.Events
-	s.decisions = snap.Decisions
-	s.skipped = snap.Skipped
-	s.skippedMemo = snap.SkippedMemo
-	s.skippedSaturating = snap.SkippedSaturating
-	s.skippedSingle = snap.SkippedSingleFullGrant
 	for i, a := range cfg.Apps {
 		as, ok := byID[a.ID]
 		if !ok {
@@ -306,7 +300,6 @@ func newSimulationFromSnapshot(cfg Config, snap *Snapshot) (*simulation, error) 
 			ioTime:    as.IOTime,
 			finish:    as.Finish,
 			activePos: -1,
-			candPos:   -1,
 			view: core.AppView{
 				ID:            a.ID,
 				Nodes:         a.Nodes,
@@ -320,6 +313,7 @@ func newSimulationFromSnapshot(cfg Config, snap *Snapshot) (*simulation, error) 
 				CreditedIdeal: as.CreditedIdeal,
 			},
 		}
+		st.cand = decide.Member{View: &st.view, BW: &st.bw, Key: i, Owner: st}
 		switch as.Phase {
 		case PhaseNotReleased, PhaseComputing, PhaseRequesting:
 			switch as.Phase {
@@ -365,12 +359,11 @@ func newSimulationFromSnapshot(cfg Config, snap *Snapshot) (*simulation, error) 
 		default:
 			return nil, fmt.Errorf("sim: app %d has unknown phase %q", a.ID, as.Phase)
 		}
-		s.byID[a.ID] = st
 	}
 
 	// Rebuild the membership sets in index order. The sets themselves
-	// are unordered now; rebuilding in index order just keeps the
-	// candVersion bump count deterministic and the first sorted-view
+	// are unordered; rebuilding in index order just keeps the kernel's
+	// version bump count deterministic and the first sorted-view
 	// materialization cheap (already sorted input).
 	for i := range s.apps {
 		st := &s.apps[i]
@@ -381,20 +374,13 @@ func newSimulationFromSnapshot(cfg Config, snap *Snapshot) (*simulation, error) 
 			s.activeAdd(st)
 		}
 		if st.view.RemVolume > volEps {
-			s.candAdd(st)
+			s.k.Add(&st.cand)
 		} else if st.bw == 0 {
 			// Entered I/O at or below the allocator's threshold: completes
 			// at the next event instant, exactly as captured.
 			s.zeroPending = append(s.zeroPending, st)
 		}
 	}
-	if snap.CandVersion > s.candVersion {
-		// Rebuilding the lists above bumped candVersion from zero; jump to
-		// the captured value so resumed trace records stay continuous. The
-		// engine itself only ever compares versions for equality.
-		s.candVersion = snap.CandVersion
-	}
-	s.finishSetup()
 	if snap.BB != nil {
 		if s.buffer == nil {
 			return nil, fmt.Errorf("sim: snapshot has burst-buffer state but config disables UseBB")
@@ -403,17 +389,26 @@ func newSimulationFromSnapshot(cfg Config, snap *Snapshot) (*simulation, error) 
 	} else if s.buffer != nil {
 		return nil, fmt.Errorf("sim: config sets UseBB but snapshot has no burst-buffer state")
 	}
-	if snap.MemoValid && !snap.RedecideOnResume {
-		// Restoring a live memo under RedecideOnResume would defeat the
-		// forced round: a Memoizable policy's re-decision (possibly a
-		// *different* policy than the one that decided) would be skipped
-		// against the incumbent's memo. Dropping it is harmless for
-		// same-policy forecasts — re-deciding over unchanged inputs
-		// reproduces identical grants — and faithful resumes never set
-		// RedecideOnResume, so bit-identity is untouched.
-		s.decided = true
-		s.decidedVersion = s.candVersion
-		s.decidedCap = core.Capacity{TotalBW: snap.MemoTotalBW, NodeBW: snap.MemoNodeBW}
-	}
+	// Rebuilding the candidate set bumped the kernel's version from zero;
+	// Restore jumps it to the captured value so resumed trace records stay
+	// continuous. Restoring a live memo under RedecideOnResume would defeat
+	// the forced round: a Memoizable policy's re-decision (possibly a
+	// *different* policy than the one that decided) would be skipped
+	// against the incumbent's memo. Dropping it is harmless for
+	// same-policy forecasts — re-deciding over unchanged inputs reproduces
+	// identical grants — and faithful resumes never set RedecideOnResume,
+	// so bit-identity is untouched.
+	s.k.Restore(decide.State{
+		Counts: decide.Counts{
+			Decisions:  uint64(snap.Decisions),
+			Skipped:    uint64(snap.Skipped),
+			Memo:       uint64(snap.SkippedMemo),
+			Saturating: uint64(snap.SkippedSaturating),
+			Single:     uint64(snap.SkippedSingleFullGrant),
+		},
+		Version:   snap.CandVersion,
+		MemoValid: snap.MemoValid && !snap.RedecideOnResume,
+		MemoCap:   core.Capacity{TotalBW: snap.MemoTotalBW, NodeBW: snap.MemoNodeBW},
+	})
 	return s, nil
 }

@@ -1,11 +1,10 @@
-// Package xsort provides the ordered-slice primitives the hot paths
-// share: a stable sort tuned for scheduling decisions (allocation-free
-// binary-insertion sort on small slices, where it beats sort.SliceStable's
-// closure and reflect-based swapper; delegation to sort.SliceStable above
-// the threshold, where insertion's O(n²) element moves would dominate) and
-// a lower-bound search for maintaining sorted lists in place. Stable sorts
-// have a unique output, so every path through Stable is bit-transparent
-// with sort.SliceStable.
+// Package xsort provides the stable sort the hot paths share, tuned for
+// scheduling decisions: allocation-free binary-insertion sort on small
+// slices, where it beats sort.SliceStable's closure and reflect-based
+// swapper, and delegation to sort.SliceStable above the threshold, where
+// insertion's O(n²) element moves would dominate. Stable sorts have a
+// unique output, so every path through Stable is bit-transparent with
+// sort.SliceStable.
 package xsort
 
 import "sort"
@@ -43,38 +42,4 @@ func insertionStable[T any](v []T, less func(a, b T) bool) {
 		copy(v[lo+1:i+1], v[lo:i])
 		v[lo] = x
 	}
-}
-
-// LowerBound returns the first index i in the sorted slice v with
-// !less(v[i], x), i.e. the insertion point that keeps v sorted.
-func LowerBound[T any](v []T, x T, less func(a, b T) bool) int {
-	lo, hi := 0, len(v)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if less(v[mid], x) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// Insert inserts x into the sorted slice v at its lower bound, returning
-// the extended slice.
-func Insert[T any](v []T, x T, less func(a, b T) bool) []T {
-	i := LowerBound(v, x, less)
-	var zero T
-	v = append(v, zero)
-	copy(v[i+1:], v[i:])
-	v[i] = x
-	return v
-}
-
-// Remove removes the element at x's lower bound from the sorted slice v,
-// returning the shortened slice. The element must be present.
-func Remove[T any](v []T, x T, less func(a, b T) bool) []T {
-	i := LowerBound(v, x, less)
-	copy(v[i:], v[i+1:])
-	return v[:len(v)-1]
 }

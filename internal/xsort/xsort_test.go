@@ -51,32 +51,3 @@ func TestStableLargeReverseSorted(t *testing.T) {
 		}
 	}
 }
-
-func TestInsertRemoveKeepSorted(t *testing.T) {
-	less := func(a, b int) bool { return a < b }
-	rng := rand.New(rand.NewSource(9))
-	var v []int
-	present := map[int]bool{}
-	for trial := 0; trial < 500; trial++ {
-		x := rng.Intn(100)
-		if present[x] {
-			v = Remove(v, x, less)
-			delete(present, x)
-		} else {
-			v = Insert(v, x, less)
-			present[x] = true
-		}
-		if !sort.IntsAreSorted(v) {
-			t.Fatalf("unsorted after trial %d: %v", trial, v)
-		}
-		if len(v) != len(present) {
-			t.Fatalf("length %d, want %d", len(v), len(present))
-		}
-	}
-	if got := LowerBound([]int{1, 3, 3, 5}, 3, less); got != 1 {
-		t.Errorf("LowerBound = %d, want 1", got)
-	}
-	if got := LowerBound([]int{1, 3, 3, 5}, 6, less); got != 4 {
-		t.Errorf("LowerBound past end = %d, want 4", got)
-	}
-}
