@@ -1,7 +1,7 @@
 // Command ioschedvet machine-enforces the engine invariants that
 // docs/architecture.md and docs/performance.md state in prose. It runs
-// the internal/analysis suite — determinism, lockorder, nilgate,
-// engineversion — in two interchangeable ways:
+// the internal/analysis suite — determinism, nilgate, engineversion — in
+// two interchangeable ways:
 //
 //	ioschedvet ./...                      # standalone multichecker
 //	go vet -vettool=$(which ioschedvet) ./...   # unitchecker protocol

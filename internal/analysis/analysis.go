@@ -1,9 +1,9 @@
 // Package analysis is ioschedvet's machine check of the engine
 // invariants that docs/architecture.md and docs/performance.md state in
 // prose: deterministic iteration and FP operation order in the decision
-// paths, the daemon's mu → shard lock order, nil-gated probe capture
-// ("disabled = zero cost"), allocation-free steady rounds and the
-// campaign engineVersion bump rule.
+// paths, nil-gated probe capture ("disabled = zero cost"),
+// allocation-free steady rounds and the campaign engineVersion bump
+// rule.
 //
 // The package mirrors the golang.org/x/tools/go/analysis shape —
 // Analyzer, Pass, Diagnostic — on the standard library alone, so the
@@ -193,7 +193,6 @@ func SortDiagnostics(diags []Diagnostic) {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
-		LockOrder,
 		NilGate,
 		EngineVersion,
 	}

@@ -25,7 +25,6 @@ import (
 
 func TestDeterminismFixture(t *testing.T)   { checkFixture(t, "internal/des") }
 func TestNilGateFixture(t *testing.T)       { checkFixture(t, "internal/sim") }
-func TestLockOrderFixture(t *testing.T)     { checkFixture(t, "internal/server") }
 func TestEngineVersionFixture(t *testing.T) { checkFixture(t, "internal/campaign") }
 func TestEngineVersionStaleFixture(t *testing.T) {
 	checkFixture(t, "internal/campaign/stale")

@@ -11,9 +11,8 @@ type Probe struct {
 	last float64
 }
 
-func (p *Probe) Due(t float64) bool             { return p == nil || t >= p.last }
-func (p *Probe) Record(pt Point)                { p.pts = append(p.pts, pt) }
-func (p *Probe) RecordApp(id int, t, v float64) {}
+func (p *Probe) Due(t float64) bool { return p == nil || t >= p.last }
+func (p *Probe) Record(pt Point)    { p.pts = append(p.pts, pt) }
 func (p *Probe) Histogram(name string) *Histogram {
 	return NewHistogram()
 }

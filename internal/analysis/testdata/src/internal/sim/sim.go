@@ -42,7 +42,7 @@ func orChain(s *simulation, now float64) {
 	}
 	s.tel.Record(telemetry.Point{Time: now})
 	for _, id := range []int{1, 2} {
-		s.tel.RecordApp(id, now, 1)
+		s.tel.Record(telemetry.Point{Time: now + float64(id)})
 	}
 }
 

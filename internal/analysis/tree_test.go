@@ -41,6 +41,44 @@ func TestTreeIsClean(t *testing.T) {
 	}
 }
 
+// TestAnalyzerDocsMatchSuite keeps docs/static-analysis.md in step with
+// the suite: every analyzer Analyzers() runs has a "### <name>" section
+// under "## The analyzers", and every section there names an analyzer
+// that still runs.
+func TestAnalyzerDocsMatchSuite(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join(repoRoot(t), "docs", "static-analysis.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, body, ok := strings.Cut(string(raw), "\n## The analyzers\n")
+	if !ok {
+		t.Fatal(`docs/static-analysis.md has no "## The analyzers" section`)
+	}
+	if i := strings.Index(body, "\n## "); i >= 0 {
+		body = body[:i]
+	}
+	documented := map[string]bool{}
+	for _, line := range strings.Split(body, "\n") {
+		if name, ok := strings.CutPrefix(line, "### "); ok {
+			documented[strings.TrimSpace(name)] = true
+		}
+	}
+	// The escape-analysis gate runs through AllocFree, not Analyzers(),
+	// and reports its diagnostics under this name.
+	running := map[string]bool{"allocfree": true}
+	for _, a := range Analyzers() {
+		running[a.Name] = true
+		if !documented[a.Name] {
+			t.Errorf("analyzer %q has no ### section in docs/static-analysis.md", a.Name)
+		}
+	}
+	for name := range documented {
+		if !running[name] {
+			t.Errorf("docs/static-analysis.md documents %q, which is not an analyzer in the suite", name)
+		}
+	}
+}
+
 // TestTreeAllocFree runs the escape-analysis gate over the annotated
 // packages and requires it to pass, mirroring the CI job.
 func TestTreeAllocFree(t *testing.T) {

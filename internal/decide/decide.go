@@ -244,8 +244,8 @@ func (k *Kernel) sortedView() []*Member {
 }
 
 // member returns the candidate with the given application ID, or nil. It
-// searches the candidate set itself, so the daemon's round never reaches
-// into its session registry. Callers have just read the sorted view.
+// searches the candidate set itself, so an engine needs no ID → member
+// lookup of its own. Callers have just read the sorted view.
 //
 //iosched:allocfree
 func (k *Kernel) member(id int) *Member {

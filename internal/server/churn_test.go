@@ -222,7 +222,7 @@ func TestWakeTimerDisarmedOnLastDrop(t *testing.T) {
 	waitFor(t, func() bool {
 		srv.mu.Lock()
 		defer srv.mu.Unlock()
-		return srv.reg.count() == 0 && !srv.wakeArmed
+		return len(srv.sessions) == 0 && !srv.wakeArmed
 	}, "wake timer disarmed after the last I/O-wanting session dropped")
 }
 
@@ -249,7 +249,7 @@ func TestProgressToZeroCompletes(t *testing.T) {
 	waitFor(t, func() bool {
 		srv.mu.Lock()
 		defer srv.mu.Unlock()
-		sess := srv.reg.get(1)
+		sess := srv.sessions[1]
 		return sess != nil && sess.view.Phase == core.Computing &&
 			sess.view.RemVolume == 0 && !sess.view.Started &&
 			sess.view.LastIOEnd > 0 && srv.k.Len() == 0 && sess.bw == 0

@@ -29,7 +29,7 @@ func TestClientProgressNarrowsRemVolume(t *testing.T) {
 	for {
 		srv.mu.Lock()
 		var rem float64 = -1
-		if sess := srv.reg.get(1); sess != nil {
+		if sess := srv.sessions[1]; sess != nil {
 			rem = sess.view.RemVolume
 		}
 		srv.mu.Unlock()
@@ -47,7 +47,7 @@ func TestClientProgressNarrowsRemVolume(t *testing.T) {
 	}
 	time.Sleep(20 * time.Millisecond)
 	srv.mu.Lock()
-	rem := srv.reg.get(1).view.RemVolume
+	rem := srv.sessions[1].view.RemVolume
 	srv.mu.Unlock()
 	if rem != 10 {
 		t.Errorf("progress widened remaining volume to %g", rem)

@@ -66,24 +66,20 @@ type Config struct {
 // the policy at all. A steady-state round — a progress report that
 // changes no discrete scheduler-visible state — therefore allocates
 // nothing and pushes nothing.
-// Locking is split into three domains so connection lifecycle traffic
-// does not serialize behind allocation rounds:
+// Locking has two domains, and the order between them is structural:
 //
 //   - lifeMu guards the listener and the live-connection set (shutdown
 //     bookkeeping); closed is an atomic flag readable from any domain.
-//   - reg, the sharded session registry (per-shard RWMutex), owns app-ID
-//     → session membership: handshakes and disconnects touch only their
-//     shard.
-//   - mu, the allocation-round lock, owns the decision kernel (candidate
-//     set, memo, counters), the wake timer and every session's
-//     scheduler-visible state. Decision rounds stay single-threaded (and
-//     allocation-free) under it, and enqueue their grant pushes under it,
-//     which pins each session's wire order to the round order.
+//     lifeMu nests with nothing.
+//   - mu, the allocation-round lock, owns the session table, the decision
+//     kernel (candidate set, memo, counters), the wake timer and every
+//     session's scheduler-visible state. Decision rounds stay
+//     single-threaded (and allocation-free) under it, and enqueue their
+//     grant pushes under it, which pins each session's wire order to the
+//     round order.
 //
-// Ordering: shard locks may be acquired while holding mu (Metrics,
-// Snapshot); mu is never acquired while holding a shard lock — the
-// kernel resolves grant targets within its own candidate set instead of
-// reaching into the registry. lifeMu nests with neither.
+// A session's outMu is a leaf: it is taken under mu (enqueue) or alone
+// (the writer goroutine, closeOutbox), never around another lock.
 type Server struct {
 	cfg   Config
 	start time.Time
@@ -96,10 +92,10 @@ type Server struct {
 	closed atomic.Bool
 	wg     sync.WaitGroup
 
-	// reg is the session registry, sharded by app-ID hash.
-	reg registry
-
 	mu sync.Mutex
+
+	// sessions maps app ID → registered session.
+	sessions map[int]*session
 
 	// clock returns seconds since start; split from cfg.Now so tests can
 	// drive the decision path with exact float instants.
@@ -120,12 +116,8 @@ type Server struct {
 	wakeArmed bool
 	wakeAt    float64
 
-	// Operational counters (see Metrics). rounds, decisions and skipped
-	// copy the kernel's counters after every round.
-	rounds    uint64
-	decisions uint64
-	skipped   uint64
-	pushes    uint64
+	// pushes counts grant messages enqueued (see Metrics).
+	pushes uint64
 
 	// Advisor bookkeeping (see NoteForecast and SetPolicy).
 	forecasts    uint64
@@ -237,9 +229,10 @@ func New(cfg Config) (*Server, error) {
 		cfg.Now = time.Now
 	}
 	s := &Server{
-		cfg:   cfg,
-		start: cfg.Now(),
-		conns: make(map[net.Conn]struct{}),
+		cfg:      cfg,
+		start:    cfg.Now(),
+		conns:    make(map[net.Conn]struct{}),
+		sessions: make(map[int]*session),
 	}
 	s.k = decide.New(decide.Config{
 		Policy:    cfg.Policy,
@@ -248,7 +241,6 @@ func New(cfg Config) (*Server, error) {
 		Telemetry: cfg.Telemetry,
 		Health:    cfg.Health,
 	})
-	s.reg.init()
 	s.clock = func() float64 { return cfg.Now().Sub(s.start).Seconds() }
 	if cfg.Telemetry != nil {
 		s.tel = cfg.Telemetry
@@ -367,7 +359,7 @@ func (s *Server) Close() error {
 func (s *Server) Decisions() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.decisions
+	return s.k.Counts().Decisions
 }
 
 // Metrics is a snapshot of the daemon's operational counters.
@@ -428,11 +420,11 @@ func (s *Server) Metrics() Metrics {
 	c := s.k.Counts()
 	return Metrics{
 		Policy:                 s.cfg.Policy.Name(),
-		Sessions:               s.reg.count(),
+		Sessions:               len(s.sessions),
 		Candidates:             s.k.Len(),
-		Rounds:                 s.rounds,
-		Decisions:              s.decisions,
-		Skipped:                s.skipped,
+		Rounds:                 c.Decisions + c.Skipped,
+		Decisions:              c.Decisions,
+		Skipped:                c.Skipped,
 		SkippedMemo:            c.Memo,
 		SkippedSaturating:      c.Saturating,
 		SkippedSingleFullGrant: c.Single,
@@ -549,19 +541,18 @@ func (s *Server) register(conn net.Conn, msg *Message) (*session, error) {
 	sess.outCond = sync.NewCond(&sess.outMu)
 	sess.cand = decide.Member{View: &sess.view, BW: &sess.bw, Key: msg.AppID, Owner: sess}
 
-	// Registry first, round lock second (never the reverse): the insert
-	// claims the app ID in its shard, then the allocation round below
-	// makes the session scheduler-visible. A Close racing this window
-	// already owns the connection (trackConn) and cuts it, so the
-	// handler's read loop unwinds through finish and deregisters.
+	// A Close racing past this check already owns the connection
+	// (trackConn) and cuts it, so the read loop unwinds through finish,
+	// which deregisters the session.
 	if s.closed.Load() {
 		return nil, errors.New("server: shutting down")
 	}
-	if !s.reg.insert(msg.AppID, sess) {
-		return nil, fmt.Errorf("server: app id %d already connected", msg.AppID)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if _, dup := s.sessions[msg.AppID]; dup {
+		return nil, fmt.Errorf("server: app id %d already connected", msg.AppID)
+	}
+	s.sessions[msg.AppID] = sess
 	sess.view.Release = s.now()
 	sess.view.LastIOEnd = sess.view.Release
 	s.wg.Add(1)
@@ -689,10 +680,13 @@ func (s *Server) completeLocked(sess *session) {
 // finish deregisters a session, rebalances the survivors and drains the
 // session's outbox so a final error message still reaches the client.
 func (s *Server) finish(sess *session) {
-	if s.reg.removeIf(sess.view.ID, sess) {
+	s.mu.Lock()
+	// Only while the ID still maps to this session, so a stale finish
+	// cannot evict a successor registered under the same ID.
+	if s.sessions[sess.view.ID] == sess {
+		delete(s.sessions, sess.view.ID)
 		s.logf("app %d left", sess.view.ID)
 	}
-	s.mu.Lock()
 	s.k.Remove(&sess.cand)
 	s.roundLocked("leave")
 	s.mu.Unlock()
@@ -717,8 +711,6 @@ func (s *Server) roundLocked(kind string) {
 	now, cap := s.now(), s.capacity()
 	s.kind = kind
 	s.k.Decide(now, cap)
-	c := s.k.Counts()
-	s.decisions, s.skipped, s.rounds = c.Decisions, c.Skipped, c.Decisions+c.Skipped
 	s.armWakeLocked(now)
 	if s.tel != nil {
 		s.roundHist.ObserveDuration(time.Since(t0))

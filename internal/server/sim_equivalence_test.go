@@ -163,7 +163,8 @@ func replayScript(t *testing.T, pol core.Scheduler, B, b float64, script []scrip
 		}
 		res.bw = append(res.bw, snap)
 	}
-	res.rounds, res.decisions, res.skipped = srv.rounds, srv.decisions, srv.skipped
+	m := srv.Metrics()
+	res.rounds, res.decisions, res.skipped = m.Rounds, m.Decisions, m.Skipped
 
 	// Drain the writers and collect what each client was pushed.
 	for _, sess := range sessions {

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -57,8 +59,7 @@ type SessionSnapshot struct {
 // Snapshot exports the daemon's current scheduling state under the
 // allocation-round lock: every view is from the same instant, so the
 // snapshot is exactly what the policy would see if a decision round ran
-// now. Registry shards are read while holding the round lock (the
-// permitted nesting order); no round can mutate a view mid-capture.
+// now.
 func (s *Server) Snapshot() *SystemSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -68,7 +69,7 @@ func (s *Server) Snapshot() *SystemSnapshot {
 		TotalBW: s.cfg.TotalBW,
 		NodeBW:  s.cfg.NodeBW,
 	}
-	s.reg.forEach(func(sess *session) {
+	for _, sess := range s.sessions {
 		snap.Apps = append(snap.Apps, SessionSnapshot{
 			ID:            sess.view.ID,
 			Nodes:         sess.view.Nodes,
@@ -84,14 +85,11 @@ func (s *Server) Snapshot() *SystemSnapshot {
 			CreditedIdeal: sess.view.CreditedIdeal,
 			Profile:       append([]PhaseSpec(nil), sess.profile...),
 		})
-	})
-	// Ascending IDs: the deterministic order every consumer (the twin's
-	// conversion, JSON diffing) relies on.
-	for i := 1; i < len(snap.Apps); i++ {
-		for j := i; j > 0 && snap.Apps[j].ID < snap.Apps[j-1].ID; j-- {
-			snap.Apps[j], snap.Apps[j-1] = snap.Apps[j-1], snap.Apps[j]
-		}
 	}
+	// Ascending IDs: the deterministic order every consumer (the twin's
+	// conversion, JSON diffing) relies on. IDs are unique, so an unstable
+	// sort is exact.
+	slices.SortFunc(snap.Apps, func(a, b SessionSnapshot) int { return cmp.Compare(a.ID, b.ID) })
 	return snap
 }
 
